@@ -9,6 +9,8 @@ package chortle
 //	    percentage improvement (paper: ~0%, 6%, 9%, 14% for K = 2..5).
 //	BenchmarkMapperSpeed_* — the Section 4.2 speed claim (Chortle 1x-10x
 //	    faster than MIS), timed on the largest circuit (des).
+//	BenchmarkVerify_des_K5 — simulation-based verification of the
+//	    mapped des, the cost every verified mapping job pays on top.
 //	BenchmarkFigure2Mapping — the Figure 1/2 worked example at K=3.
 //	BenchmarkFigure7Decomposition — the Figure 7 wide-node search.
 //	BenchmarkNodeSplitting_* — Section 3.1.4: exhaustive search vs the
@@ -124,6 +126,23 @@ func BenchmarkMapperSpeed_Chortle_des_K4_NoPerf(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Map(nw, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Verify of the K=5 des mapping with 64 random blocks, as a verified
+// mapping job runs it: compiling both designs, then the block loop.
+func BenchmarkVerify_des_K5(b *testing.B) {
+	nw := optimizedSuite(b)["des"]
+	res, err := Map(nw, DefaultOptions(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(nw, res.Circuit, 64, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 
 	"chortle/internal/bench"
 	"chortle/internal/network"
-	"chortle/internal/verify"
 )
 
 // The cross-engine differential harness: all three engines — the
@@ -65,11 +64,17 @@ func simPoints(nw *network.Network) (inputs, outputs []string) {
 // inputs the exhaustive sweep alone would dominate the whole suite.
 const exhaustiveDiffLimit = 12
 
+// simulatable is a design the harness simulates block by block through
+// its map-in/map-out Simulate wrapper: a network or a mapped circuit.
+type simulatable interface {
+	Simulate(assign map[string]uint64) (map[string]uint64, error)
+}
+
 // assertSimulateIdentical simulates every design on the same input
 // blocks and requires identical output words everywhere: design 0 is
 // the reference (the unmapped network), so a mismatch names the
 // diverging engine, the output, and the block.
-func assertSimulateIdentical(t *testing.T, names []string, designs []verify.Simulatable, inputs, outputs []string, label string) {
+func assertSimulateIdentical(t *testing.T, names []string, designs []simulatable, inputs, outputs []string, label string) {
 	t.Helper()
 	check := func(assign map[string]uint64, mask uint64, context string) {
 		ref, err := designs[0].Simulate(assign)
@@ -134,7 +139,7 @@ func TestCrossEngineDifferential(t *testing.T) {
 					continue
 				}
 				names := []string{"network"}
-				designs := []verify.Simulatable{nw}
+				designs := []simulatable{nw}
 				for _, eng := range engines {
 					opts := DefaultOptions(k)
 					opts.Engine = eng

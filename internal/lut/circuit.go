@@ -118,49 +118,53 @@ func (c *Circuit) isInput(name string) bool {
 // Validate checks the circuit structure: unique names, defined input
 // signals, fanin bounds, table arities and acyclicity.
 func (c *Circuit) Validate() error {
+	_, err := c.validate()
+	return err
+}
+
+// validate runs Validate's checks and returns the LUTs in topological
+// order.
+func (c *Circuit) validate() ([]*LUT, error) {
 	seen := make(map[string]bool, len(c.Inputs)+len(c.LUTs))
 	for _, in := range c.Inputs {
 		if seen[in] {
-			return fmt.Errorf("lut circuit %q: duplicate input %q", c.Name, in)
+			return nil, fmt.Errorf("lut circuit %q: duplicate input %q", c.Name, in)
 		}
 		seen[in] = true
 	}
 	for _, l := range c.LUTs {
 		if seen[l.Name] {
-			return fmt.Errorf("lut circuit %q: duplicate name %q", c.Name, l.Name)
+			return nil, fmt.Errorf("lut circuit %q: duplicate name %q", c.Name, l.Name)
 		}
 		seen[l.Name] = true
 		if len(l.Inputs) > c.K {
-			return fmt.Errorf("lut circuit %q: %q exceeds K=%d inputs", c.Name, l.Name, c.K)
+			return nil, fmt.Errorf("lut circuit %q: %q exceeds K=%d inputs", c.Name, l.Name, c.K)
 		}
 		if l.Table.N != len(l.Inputs) {
-			return fmt.Errorf("lut circuit %q: %q table arity mismatch", c.Name, l.Name)
+			return nil, fmt.Errorf("lut circuit %q: %q table arity mismatch", c.Name, l.Name)
 		}
 	}
 	for _, l := range c.LUTs {
 		for _, in := range l.Inputs {
 			if !seen[in] {
-				return fmt.Errorf("lut circuit %q: %q uses undefined signal %q", c.Name, l.Name, in)
+				return nil, fmt.Errorf("lut circuit %q: %q uses undefined signal %q", c.Name, l.Name, in)
 			}
 		}
 	}
 	for _, o := range c.Outputs {
 		if !seen[o.Signal] {
-			return fmt.Errorf("lut circuit %q: output %q references undefined %q", c.Name, o.Name, o.Signal)
+			return nil, fmt.Errorf("lut circuit %q: output %q references undefined %q", c.Name, o.Name, o.Signal)
 		}
 	}
 	for _, l := range c.Latches {
 		if !c.isInput(l.Q) {
-			return fmt.Errorf("lut circuit %q: latch output %q is not a circuit input", c.Name, l.Q)
+			return nil, fmt.Errorf("lut circuit %q: latch output %q is not a circuit input", c.Name, l.Q)
 		}
 		if !seen[l.D] {
-			return fmt.Errorf("lut circuit %q: latch %q data references undefined %q", c.Name, l.Q, l.D)
+			return nil, fmt.Errorf("lut circuit %q: latch %q data references undefined %q", c.Name, l.Q, l.D)
 		}
 	}
-	if _, err := c.topoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return c.topoOrder()
 }
 
 // topoOrder returns LUTs with fanins first, or an error on a cycle.
@@ -198,51 +202,6 @@ func (c *Circuit) topoOrder() ([]*LUT, error) {
 		}
 	}
 	return order, nil
-}
-
-// Simulate evaluates the circuit on 64 parallel input patterns.
-func (c *Circuit) Simulate(assign map[string]uint64) (map[string]uint64, error) {
-	order, err := c.topoOrder()
-	if err != nil {
-		return nil, err
-	}
-	val := make(map[string]uint64, len(order)+len(c.Inputs))
-	for _, in := range c.Inputs {
-		val[in] = assign[in]
-	}
-	for _, l := range order {
-		var w uint64
-		// Evaluate the table bit-parallel: for each table row m, select
-		// the patterns whose inputs match m.
-		for b := 0; b < 64; b++ {
-			var m uint
-			for i, in := range l.Inputs {
-				if val[in]>>uint(b)&1 == 1 {
-					m |= 1 << uint(i)
-				}
-			}
-			if l.Table.Eval(m) {
-				w |= 1 << uint(b)
-			}
-		}
-		val[l.Name] = w
-	}
-	out := make(map[string]uint64, len(c.Outputs)+len(c.Latches))
-	for _, o := range c.Outputs {
-		w := val[o.Signal]
-		if o.Invert {
-			w = ^w
-		}
-		out[o.Name] = w
-	}
-	for _, l := range c.Latches {
-		w := val[l.D]
-		if l.DInv {
-			w = ^w
-		}
-		out["$latch$"+l.Q] = w
-	}
-	return out, nil
 }
 
 // Stats summarizes a mapped circuit.

@@ -74,6 +74,28 @@ func TestAddLUTPanicsOnTooManyInputs(t *testing.T) {
 	c.AddLUT("l", []string{"a", "b", "x"}, truth.Const(3, true))
 }
 
+// TestSimulateRejectsUndefinedSignal: a LUT input or output naming no
+// signal is the Validate error, not a constant 0.
+func TestSimulateRejectsUndefinedSignal(t *testing.T) {
+	lutGhost := New("ghost", 2)
+	lutGhost.AddInput("a")
+	lutGhost.AddLUT("g", []string{"a", "ghost"}, truth.Var(0, 2).And(truth.Var(1, 2)))
+	lutGhost.MarkOutput("y", "g", false)
+	outGhost := New("ghost", 2)
+	outGhost.AddInput("a")
+	outGhost.MarkOutput("y", "ghost", false)
+	for _, c := range []*Circuit{lutGhost, outGhost} {
+		verr := c.Validate()
+		if verr == nil {
+			t.Fatal("Validate accepted an undefined signal")
+		}
+		_, err := c.Simulate(map[string]uint64{"a": ^uint64(0)})
+		if err == nil || err.Error() != verr.Error() {
+			t.Fatalf("Simulate error %v, want the Validate error %v", err, verr)
+		}
+	}
+}
+
 func TestSimulate(t *testing.T) {
 	c := sampleCircuit()
 	// Exhaustive over 4 inputs (16 patterns).

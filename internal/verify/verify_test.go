@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"chortle/internal/bench"
+	"chortle/internal/core"
 	"chortle/internal/lut"
 	"chortle/internal/network"
 	"chortle/internal/truth"
@@ -161,4 +163,58 @@ func TestDefaultPatternCount(t *testing.T) {
 	if err := NetworkVsCircuit(nw, c, 0, 3); err == nil {
 		t.Fatal("zero-pattern verification validated a broken circuit")
 	}
+}
+
+// TestUndefinedSignalRejected: a circuit whose LUT reads a signal it
+// never defines fails verification with the circuit's Validate error,
+// even where reading that signal as 0 would match the network.
+func TestUndefinedSignalRejected(t *testing.T) {
+	c := lut.New("and", 2)
+	c.AddInput("a")
+	c.AddInput("b")
+	// y = (a AND b) OR ghost matches the network when ghost reads as 0.
+	c.AddLUT("g", []string{"a", "b"}, truth.Var(0, 2).And(truth.Var(1, 2)))
+	c.AddLUT("h", []string{"g", "ghost"}, truth.Var(0, 2).Or(truth.Var(1, 2)))
+	c.MarkOutput("y", "h", false)
+	verr := c.Validate()
+	if verr == nil {
+		t.Fatal("Validate accepted an undefined signal")
+	}
+	err := NetworkVsCircuit(andNetwork(), c, 8, 1)
+	if err == nil {
+		t.Fatal("circuit reading an undefined signal verified")
+	}
+	if want := "verify: simulating second design: " + verr.Error(); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestBlockLoopAllocationFree pins where Verify allocates: compiling
+// the two designs and binding their names, never the 64-pattern block
+// loop, so 64 blocks of des at K=5 cost no more objects than 8.
+func TestBlockLoopAllocationFree(t *testing.T) {
+	bc, err := bench.ByName("des")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := bench.Optimized(bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Map(nw, core.DefaultOptions(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(blocks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := NetworkVsCircuit(nw, res.Circuit, blocks, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(8), allocs(64)
+	if many > few {
+		t.Fatalf("Verify allocates %.0f objects over 64 blocks, %.0f over 8: the block loop allocates", many, few)
+	}
+	t.Logf("des K=5: %.0f allocations per Verify", many)
 }
